@@ -1,18 +1,26 @@
-//! SoA distance tables: coordinate-stream kernels, one vectorizable pass
-//! per candidate image.
+//! SoA distance tables: coordinate-stream kernels, one fused pass over
+//! the sources per point.
 //!
 //! Storage convention (QMCPACK SoA): for each *target* particle `i` the
 //! distances (and displacement components) to all *sources* are a
 //! contiguous row, so per-particle updates touch unit-stride memory.
 //! Displacements are `source_j − target_i` under minimum image.
 
-use super::{BoundaryKind, ImageShifts};
+use super::{round_half_away, BoundaryKind, ImageShifts};
 use crate::lattice::Lattice;
 use crate::particleset::ParticleSet;
+
+/// Sources per block of the General kernel: the block's base images and
+/// running minima stay local while every candidate shift is tried, so
+/// each row is read and written once.
+const LANES: usize = 8;
 
 /// Kernel: minimum-image distances from one point to all sources given as
 /// SoA streams. Writes `r`, `dx`, `dy`, `dz` rows (displacement =
 /// source − point).
+///
+/// Bit-identical to [`super::min_image_scalar`] per source wherever the
+/// nearest image is unique (see [`BoundaryKind::General`] for ties).
 #[allow(clippy::too_many_arguments)]
 pub fn distances_to_point(
     lattice: &Lattice,
@@ -36,9 +44,9 @@ pub fn distances_to_point(
                 let mut ddx = sx[j] - p[0];
                 let mut ddy = sy[j] - p[1];
                 let mut ddz = sz[j] - p[2];
-                ddx -= lx * (ddx / lx).round();
-                ddy -= ly * (ddy / ly).round();
-                ddz -= lz * (ddz / lz).round();
+                ddx -= lx * round_half_away(ddx / lx);
+                ddy -= ly * round_half_away(ddy / ly);
+                ddz -= lz * round_half_away(ddz / lz);
                 dx[j] = ddx;
                 dy[j] = ddy;
                 dz[j] = ddz;
@@ -46,59 +54,83 @@ pub fn distances_to_point(
             }
         }
         BoundaryKind::General => {
-            let g = lattice.jacobian();
-            let a = &lattice.a;
-            // Pass 1 (vectorizable): reduce to the central image in
-            // fractional coordinates. `dx/dy/dz` hold the *base*
-            // displacement throughout the scan; only the winning shift
-            // index is tracked, then applied in a final pass (updating
-            // the displacement mid-scan would chain shifts together).
-            for j in 0..n {
-                let rd = [sx[j] - p[0], sy[j] - p[1], sz[j] - p[2]];
-                let mut u = [0.0f64; 3];
-                for b in 0..3 {
-                    u[b] = rd[0] * g[0][b] + rd[1] * g[1][b] + rd[2] * g[2][b];
-                }
-                for x in &mut u {
-                    *x -= x.round();
-                }
-                let cx = u[0] * a[0][0] + u[1] * a[1][0] + u[2] * a[2][0];
-                let cy = u[0] * a[0][1] + u[1] * a[1][1] + u[2] * a[2][1];
-                let cz = u[0] * a[0][2] + u[1] * a[1][2] + u[2] * a[2][2];
-                dx[j] = cx;
-                dy[j] = cy;
-                dz[j] = cz;
-                r[j] = cx * cx + cy * cy + cz * cz; // r² for now
+            // One pass over the sources, a block of LANES at a time; a
+            // short last block runs on zero-padded copies.
+            let full = n - n % LANES;
+            for j0 in (0..full).step_by(LANES) {
+                let rows = [&mut *r, &mut *dx, &mut *dy, &mut *dz];
+                general_block(lattice, im, p, [sx, sy, sz], rows, j0, LANES);
             }
-            // Passes 2..28 (vectorizable): try each uniform image shift
-            // against the base displacement.
-            let mut best = vec![usize::MAX; n];
-            for (si, s) in im.shifts.iter().enumerate() {
-                if s == &[0.0, 0.0, 0.0] {
-                    continue;
-                }
-                for j in 0..n {
-                    let cx = dx[j] + s[0];
-                    let cy = dy[j] + s[1];
-                    let cz = dz[j] + s[2];
-                    let r2 = cx * cx + cy * cy + cz * cz;
-                    if r2 < r[j] {
-                        r[j] = r2;
-                        best[j] = si;
-                    }
-                }
-            }
-            // Final pass: apply the winning shift.
-            for j in 0..n {
-                if best[j] != usize::MAX {
-                    let s = im.shifts[best[j]];
-                    dx[j] += s[0];
-                    dy[j] += s[1];
-                    dz[j] += s[2];
-                }
-                r[j] = r[j].sqrt();
+            if full < n {
+                general_block(
+                    lattice,
+                    im,
+                    p,
+                    [sx, sy, sz],
+                    [r, dx, dy, dz],
+                    full,
+                    n - full,
+                );
             }
         }
+    }
+}
+
+/// General-cell minimum image of sources `j0..j0 + m` (`m ≤ LANES`)
+/// relative to `p`, written to the `[r, dx, dy, dz]` rows. Every lane
+/// does the arithmetic of [`super::min_image_scalar`] in the same order,
+/// so the results match it bit for bit. Inlined, so that full blocks
+/// copy a constant length.
+#[inline(always)]
+fn general_block(
+    lattice: &Lattice,
+    im: &ImageShifts,
+    p: [f64; 3],
+    src: [&[f64]; 3],
+    rows: [&mut [f64]; 4],
+    j0: usize,
+    m: usize,
+) {
+    let g = lattice.jacobian();
+    let a = &lattice.a;
+    let (mut x, mut y, mut z) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    x[..m].copy_from_slice(&src[0][j0..j0 + m]);
+    y[..m].copy_from_slice(&src[1][j0..j0 + m]);
+    z[..m].copy_from_slice(&src[2][j0..j0 + m]);
+    let mut r2 = [0.0; LANES];
+    for l in 0..LANES {
+        // Reduce to the central image in fractional coordinates. The
+        // sums start from 0.0 like `Lattice::to_frac`/`to_cart`, so a
+        // zero component comes out +0.0 as in the reference.
+        let rd = [x[l] - p[0], y[l] - p[1], z[l] - p[2]];
+        let mut u = [0.0f64; 3];
+        for b in 0..3 {
+            u[b] = 0.0 + rd[0] * g[0][b] + rd[1] * g[1][b] + rd[2] * g[2][b];
+            u[b] -= round_half_away(u[b]);
+        }
+        x[l] = 0.0 + u[0] * a[0][0] + u[1] * a[1][0] + u[2] * a[2][0];
+        y[l] = 0.0 + u[0] * a[0][1] + u[1] * a[1][1] + u[2] * a[2][1];
+        z[l] = 0.0 + u[0] * a[0][2] + u[1] * a[1][2] + u[2] * a[2][2];
+        r2[l] = x[l] * x[l] + y[l] * y[l] + z[l] * z[l];
+    }
+    // Try each candidate against the base image; the first strictly
+    // nearer one in scan order wins, as in the full-shell scan.
+    let (base_x, base_y, base_z) = (x, y, z);
+    for s in &im.candidates {
+        for l in 0..LANES {
+            let cx = base_x[l] + s[0];
+            let cy = base_y[l] + s[1];
+            let cz = base_z[l] + s[2];
+            let c2 = cx * cx + cy * cy + cz * cz;
+            let nearer = c2 < r2[l];
+            r2[l] = if nearer { c2 } else { r2[l] };
+            x[l] = if nearer { cx } else { x[l] };
+            y[l] = if nearer { cy } else { y[l] };
+            z[l] = if nearer { cz } else { z[l] };
+        }
+    }
+    for (row, block) in rows.into_iter().zip([r2.map(f64::sqrt), x, y, z]) {
+        row[j0..j0 + m].copy_from_slice(&block[..m]);
     }
 }
 
@@ -399,13 +431,80 @@ impl DistanceTableAB {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::min_image_scalar;
     use crate::lattice::graphite_supercell;
     use crate::particleset::random_electrons;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn electrons(lat: Lattice, n: usize, seed: u64) -> ParticleSet {
         random_electrons(lat, n, &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// The lattices of the bitwise suite: both kernel branches, every
+    /// graphite tiling the drivers use, a flat cell and two triclinic
+    /// cells.
+    fn bitwise_lattices() -> Vec<Lattice> {
+        vec![
+            Lattice::cubic(4.0),
+            Lattice::orthorhombic(2.0, 5.0, 7.0),
+            graphite_supercell(1, 1, 1).0,
+            graphite_supercell(4, 4, 1).0,
+            graphite_supercell(8, 8, 1).0,
+            graphite_supercell(1, 1, 3).0,
+            Lattice::hexagonal(10.0, 0.5),
+            // Left-handed.
+            Lattice::from_rows([[5.0, 0.0, 0.0], [1.3, 4.2, 0.0], [0.7, -1.1, -3.9]]),
+            Lattice::from_rows([[4.0, 0.5, -0.3], [-1.7, 3.6, 0.8], [2.1, 1.4, 5.2]]),
+        ]
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_scalar_min_image() {
+        // 1000 points × 1003 sources > 10⁶ pairs per lattice; 1003 leaves
+        // a short last block. Fractional coordinates span several cells
+        // so the reduction is exercised.
+        const POINTS: usize = 1000;
+        const SOURCES: usize = 1003;
+        for (li, lat) in bitwise_lattices().into_iter().enumerate() {
+            let im = ImageShifts::new(&lat);
+            let mut rng = StdRng::seed_from_u64(1000 + li as u64);
+            let draw = |rng: &mut StdRng| {
+                lat.to_cart(std::array::from_fn(|_| 4.0 * rng.random::<f64>() - 1.5))
+            };
+            let src: Vec<[f64; 3]> = (0..SOURCES).map(|_| draw(&mut rng)).collect();
+            let sx: Vec<f64> = src.iter().map(|s| s[0]).collect();
+            let sy: Vec<f64> = src.iter().map(|s| s[1]).collect();
+            let sz: Vec<f64> = src.iter().map(|s| s[2]).collect();
+            let (mut r, mut dx, mut dy, mut dz) = (
+                vec![0.0; SOURCES],
+                vec![0.0; SOURCES],
+                vec![0.0; SOURCES],
+                vec![0.0; SOURCES],
+            );
+            for pi in 0..POINTS {
+                // Exact zero components: every 50th point sits on a
+                // source, every 10th shares its height with one (with the
+                // left-handed cell this makes −0.0 terms in the sums).
+                let p = if pi % 50 == 0 {
+                    src[pi]
+                } else if pi % 10 == 0 {
+                    let q = draw(&mut rng);
+                    [q[0], q[1], src[pi][2]]
+                } else {
+                    draw(&mut rng)
+                };
+                distances_to_point(
+                    &lat, &im, &sx, &sy, &sz, p, &mut r, &mut dx, &mut dy, &mut dz,
+                );
+                for j in 0..SOURCES {
+                    let (d, rr) = min_image_scalar(&lat, &im, p, src[j]);
+                    let got = [dx[j], dy[j], dz[j], r[j]].map(f64::to_bits);
+                    let want = [d[0], d[1], d[2], rr].map(f64::to_bits);
+                    assert_eq!(got, want, "lattice {li}, point {pi}, source {j}");
+                }
+            }
+        }
     }
 
     #[test]

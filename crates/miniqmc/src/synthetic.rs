@@ -32,6 +32,11 @@ struct Mode {
 /// summing `n_modes` random low-frequency Fourier modes each, then
 /// fitting interpolating B-spline coefficients (the full einspline
 /// pipeline). Deterministic per seed.
+///
+/// Modes come from the shell `k ∈ {−K..K}³ \ {0}`, whose real span
+/// (with the constant on orbital 0) has `(2K+1)³` dimensions. `K = 2`
+/// (125 functions) unless `n_orbitals` needs more: a Slater matrix of
+/// more orbitals than the span is singular.
 pub fn synthetic_orbitals<T: Real>(
     gx: Grid1,
     gy: Grid1,
@@ -44,15 +49,19 @@ pub fn synthetic_orbitals<T: Real>(
     let (nx, ny, nz) = (gx.num(), gy.num(), gz.num());
     let mut coefs = MultiCoefs::<T>::new(gx, gy, gz, n_orbitals);
     let mut data = vec![0.0f64; nx * ny * nz];
+    let mut k_max = 2i32;
+    while ((2 * k_max + 1).pow(3) as usize) < n_orbitals {
+        k_max += 1;
+    }
 
     for orb in 0..n_orbitals {
-        // Low-|k| shell: components in [-2, 2]; ensure a non-zero k.
+        // Low-|k| shell: components in [-K, K]; ensure a non-zero k.
         let modes: Vec<Mode> = (0..n_modes)
             .map(|_| {
                 let mut k = [0i32; 3];
                 while k == [0, 0, 0] {
                     for kd in &mut k {
-                        *kd = rng.random_range(-2..=2);
+                        *kd = rng.random_range(-k_max..=k_max);
                     }
                 }
                 Mode {
@@ -227,6 +236,49 @@ mod tests {
         let line = coefs.line(4, 4, 4);
         assert_ne!(line[1], line[2]);
         assert_ne!(line[2], line[3]);
+    }
+
+    /// Two VMC sweeps on CORAL 4×4×1 (N = 128) on a coarse grid: the
+    /// tracked log|Ψ| must match a fresh evaluation, which fails when the
+    /// Slater matrix is singular.
+    #[test]
+    fn coral_4x4x1_slater_matrix_has_full_rank() {
+        use crate::drivers::vmc::{run_vmc, VmcConfig};
+        use crate::jastrow::BsplineFunctor;
+        use crate::particleset::random_electrons;
+        use crate::spo::SpoSet;
+        use crate::wavefunction::TrialWaveFunction;
+
+        let sys = CoralSystem::new(4, 4, 1, (16, 16, 20));
+        assert_eq!(sys.n_per_spin, 128);
+        let spo = SpoSet::new(sys.orbitals::<f64>(42), sys.lattice);
+        let electrons = random_electrons(
+            sys.lattice,
+            sys.n_electrons(),
+            &mut StdRng::seed_from_u64(1),
+        );
+        let rc = sys.lattice.wigner_seitz_radius() * 0.9;
+        let mut wf = TrialWaveFunction::new(
+            spo,
+            &sys.ions,
+            electrons,
+            BsplineFunctor::rpa_like(0.3, 1.0, rc, 20),
+            BsplineFunctor::rpa_like(0.5, 1.2, rc, 20),
+        );
+        let res = run_vmc(
+            &mut wf,
+            &VmcConfig {
+                n_steps: 2,
+                step_size: 0.4,
+                seed: 7,
+            },
+        );
+        let fresh = wf.evaluate_log();
+        assert!(
+            (res.log_psi - fresh).abs() < 1e-8,
+            "tracked {} vs fresh {fresh}",
+            res.log_psi
+        );
     }
 
     #[test]
